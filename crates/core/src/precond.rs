@@ -29,7 +29,7 @@
 
 use sdc_faults::{FaultInjector, Kernel, Site};
 use sdc_sparse::norm_est::norm2_est;
-use sdc_sparse::CsrMatrix;
+use sdc_sparse::{auto_format, CsrMatrix, FormatMatrix, SellMatrix, SparseFormat};
 use std::sync::OnceLock;
 
 /// One unreliable preconditioner application inside an inner solve.
@@ -136,10 +136,12 @@ const CHEBYSHEV_EIG_BOOST: f64 = 1.1;
 ///
 /// Every operation is element-wise or an `A`-apply (`par_spmv`, which is
 /// bitwise thread-count-independent), so the application is bitwise
-/// deterministic at any thread count.
+/// deterministic at any thread count. The `A`-applies run on the storage
+/// engine [`auto_format`] picks (SELL for stencils, CSR for ragged
+/// matrices); both engines produce the same bits.
 #[derive(Clone, Debug)]
 pub struct ChebyshevPrecond {
-    a: CsrMatrix,
+    a: FormatMatrix,
     degree: usize,
     /// Chebyshev interval center `(λ_max + λ_min)/2`.
     theta: f64,
@@ -156,7 +158,13 @@ impl ChebyshevPrecond {
         assert!(degree >= 1, "chebyshev: degree must be >= 1");
         let lmax = (norm2_est(a, 30, 1e-10).value * CHEBYSHEV_EIG_BOOST).max(1e-300);
         let lmin = lmax / CHEBYSHEV_EIG_RATIO;
-        Self { a: a.clone(), degree, theta: (lmax + lmin) / 2.0, delta: (lmax - lmin) / 2.0 }
+        // Committed directly rather than through `FormatMatrix::convert`,
+        // whose `spmv.format` event would add a line to det traces.
+        let a = match auto_format(a) {
+            SparseFormat::Sell => FormatMatrix::Sell(SellMatrix::from_csr(a)),
+            _ => FormatMatrix::Csr(a.clone()),
+        };
+        Self { a, degree, theta: (lmax + lmin) / 2.0, delta: (lmax - lmin) / 2.0 }
     }
 
     /// Builds with [`CHEBYSHEV_DEFAULT_DEGREE`].
@@ -167,6 +175,16 @@ impl ChebyshevPrecond {
     /// The polynomial degree (applications of `A` per solve).
     pub fn degree(&self) -> usize {
         self.degree
+    }
+
+    /// The storage engine the `A`-applies run on (`Csr` or `Sell`).
+    pub fn format(&self) -> SparseFormat {
+        self.a.format()
+    }
+
+    /// The Chebyshev interval's center `θ` and half-width `δ`.
+    pub fn center_and_half_width(&self) -> (f64, f64) {
+        (self.theta, self.delta)
     }
 
     /// Computes `z = p(A)·q` (the stateless core of
@@ -544,6 +562,16 @@ mod tests {
         let rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(&b);
         assert!(rel < 0.8, "Chebyshev application made no progress: rel residual {rel}");
         assert!(z.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn chebyshev_build_commits_to_sell_without_a_det_event() {
+        let sink = std::sync::Arc::new(sdc_obs::trace::TraceSink::new());
+        let p = sdc_obs::with_local(sink.clone(), || {
+            ChebyshevPrecond::with_default_degree(&gallery::poisson2d(64))
+        });
+        assert_eq!(p.format(), SparseFormat::Sell);
+        assert!(sink.det_bytes().is_empty(), "{}", sink.det_bytes());
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! wrapped around one, must produce identical bits at any worker count.
 //! (ILU(0) triangular solves are inherently sequential; Jacobi and
 //! Chebyshev lean on the deterministic-reduction SpMV/axpy kernels.)
+//! The Chebyshev apply runs its SpMVs on the engine `auto` picks, and
+//! must match the same recurrence driven by serial CSR SpMVs.
 
 use sdc_gmres::ftgmres::{ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_right_precond, GmresConfig};
-use sdc_gmres::precond::{BuiltPrecond, PrecondKind};
-use sdc_sparse::{gallery, CsrMatrix};
+use sdc_gmres::precond::{BuiltPrecond, PrecondKind, CHEBYSHEV_DEFAULT_DEGREE};
+use sdc_sparse::gallery::{self, CircuitMnaConfig};
+use sdc_sparse::{CsrMatrix, SparseFormat};
 
 fn problem() -> (CsrMatrix, Vec<f64>) {
     let a = gallery::poisson2d(24);
@@ -81,6 +84,62 @@ fn preconditioned_solves_are_bitwise_thread_independent() {
             ft_ref.iter().zip(&ft4).all(|(p, q)| p.to_bits() == q.to_bits()),
             "{kind} ftgmres solution differs between 1 and 4 threads"
         );
+    }
+    sdc_parallel::set_threads(0);
+}
+
+/// The Chebyshev semi-iteration `z = p(A)·q` written out over serial
+/// CSR SpMVs.
+fn chebyshev_csr_reference(a: &CsrMatrix, theta: f64, delta: f64, q: &[f64]) -> Vec<f64> {
+    let n = a.nrows();
+    let sigma = theta / delta;
+    let mut rho = 1.0 / sigma;
+    let mut d: Vec<f64> = q.iter().map(|&v| v / theta).collect();
+    let mut z = d.clone();
+    let mut az = vec![0.0; n];
+    for _ in 2..=CHEBYSHEV_DEFAULT_DEGREE {
+        a.spmv(&z, &mut az);
+        let rho_new = 1.0 / (2.0 * sigma - rho);
+        let (dd, dr) = (rho_new * rho, 2.0 * rho_new / delta);
+        for i in 0..n {
+            d[i] = dd * d[i] + dr * (q[i] - az[i]);
+            z[i] += d[i];
+        }
+        rho = rho_new;
+    }
+    z
+}
+
+#[test]
+fn chebyshev_apply_matches_csr_reference_on_either_engine() {
+    let _guard = sdc_parallel::test_serial_guard();
+    // poisson2d(64) has 20,224 nonzeros and fill 1.006: SELL at either
+    // ISA's `auto` thresholds. The 500-node circuit has ragged rows and
+    // stays under either ISA's SELL size cutoff, so it keeps CSR.
+    let circuit = gallery::circuit_mna(&CircuitMnaConfig { nodes: 500, ..Default::default() });
+    for (a, engine) in [(gallery::poisson2d(64), SparseFormat::Sell), (circuit, SparseFormat::Csr)]
+    {
+        let n = a.nrows();
+        let BuiltPrecond::Chebyshev(pc) = BuiltPrecond::build(PrecondKind::Chebyshev, &a).unwrap()
+        else {
+            unreachable!("a Chebyshev build yields the Chebyshev variant")
+        };
+        assert_eq!(pc.format(), engine, "n={n}");
+        let (theta, delta) = pc.center_and_half_width();
+        let q: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin() + 0.1).collect();
+        let reference = chebyshev_csr_reference(&a, theta, delta, &q);
+        for t in [1usize, 4] {
+            sdc_parallel::set_threads(t);
+            let mut z = vec![f64::NAN; n];
+            pc.solve(&q, &mut z);
+            for i in 0..n {
+                assert_eq!(
+                    z[i].to_bits(),
+                    reference[i].to_bits(),
+                    "{engine} apply row {i} differs from the CSR reference at {t} threads"
+                );
+            }
+        }
     }
     sdc_parallel::set_threads(0);
 }

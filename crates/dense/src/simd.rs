@@ -10,12 +10,20 @@
 //!   `a * x[i]` / `x[i] * a` with a separate multiply and add, exactly
 //!   the scalar op per element, so the result is trivially bitwise
 //!   identical (no FMA: fusing would change the rounding of `y + a*x`).
-//! * [`dot256`] evaluates the four base-64 chains of one 256-element
-//!   pairwise-tree subtree in the four lanes of a `f64x4` accumulator.
-//!   Lane `l` performs precisely the additions the scalar tree performs
-//!   in its `l`-th leaf, in the same order, and the final horizontal
-//!   combine reproduces the tree's `(s0+s1)+(s2+s3)` shape — so the
-//!   reduction is bitwise-pinned to the scalar [`det_map_sum`] result.
+//! * [`dot_subtree`] evaluates a node of the pairwise dot-product tree
+//!   whose leaves all sit two levels (4 leaves) or four levels (16
+//!   leaves) below it. Each leaf's elements are loaded contiguously and
+//!   multiplied, then a 4×4 transpose hands the products to the
+//!   accumulator lanes, so lane `l` of a 4-leaf group performs
+//!   precisely the additions the scalar tree performs in its `l`-th
+//!   leaf, in the same order. A 16-leaf node runs its four 4-leaf
+//!   subtrees interleaved in four accumulators, which hides the add
+//!   latency. Leaves of non-power-of-two blocks differ in length by at
+//!   most one: the lanes run in lockstep over the shortest leaf (rounded
+//!   down to whole 4-element steps) and each leaf then finishes its
+//!   chain with a scalar tail. The combine is `(s0+s1)+(s2+s3)` at every
+//!   level, the tree's own shape — so the reduction is bitwise-pinned to
+//!   the scalar [`det_map_sum`] result.
 //!
 //! Mode selection happens once per process: the first kernel that asks
 //! reads `SDC_SIMD` (`auto` | `avx2` | `scalar`), resolves `auto` via
@@ -218,18 +226,34 @@ pub fn scal4(a: f64, x: &mut [f64]) -> Option<()> {
     None
 }
 
-/// Lane-parallel body for one 256-element dot-product subtree (4 ×
-/// base-64 chains); `None` when the scalar tree should run. The caller
-/// guarantees `x.len() == y.len() == 4 * PAIRWISE_BASE`.
+/// Lane-parallel body for one node of the pairwise dot-product tree
+/// whose leaves all sit two or four levels down (130..=256 or
+/// 520..=1024 elements); `None` when the scalar tree should run. The
+/// result is bitwise the scalar tree's.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
 #[inline]
-pub fn dot256(x: &[f64], y: &[f64]) -> Option<f64> {
+pub fn dot_subtree(x: &[f64], y: &[f64]) -> Option<f64> {
     #[cfg(target_arch = "x86_64")]
     {
-        if active() == Isa::Avx2 {
-            debug_assert_eq!(x.len(), 4 * sdc_parallel::PAIRWISE_BASE);
-            debug_assert_eq!(x.len(), y.len());
-            // SAFETY: AVX2 availability was verified by `active()`.
-            return Some(unsafe { avx2::dot256(x, y) });
+        use avx2::{quarters, tree4, SUBTREE16, SUBTREE4};
+        let n = x.len();
+        let four = SUBTREE4.contains(&n);
+        if active() == Isa::Avx2 && (four || SUBTREE16.contains(&n)) {
+            assert_eq!(n, y.len(), "dot_subtree: length mismatch");
+            let leaves = quarters(0, n);
+            // SAFETY: AVX2 availability was verified by `active()`; the
+            // leaves partition `0..n`, and `x` and `y` have length `n`.
+            return Some(unsafe {
+                if four {
+                    let [s] = avx2::leaf_sums(x, y, [leaves]);
+                    tree4(s)
+                } else {
+                    let groups = leaves.map(|(start, len)| quarters(start, len));
+                    tree4(avx2::leaf_sums(x, y, groups).map(tree4))
+                }
+            });
         }
     }
     let _ = (x, y);
@@ -239,6 +263,36 @@ pub fn dot256(x: &[f64], y: &[f64]) -> Option<f64> {
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
     use std::arch::x86_64::*;
+
+    /// A 4-leaf node of the pairwise tree: both children are split
+    /// (`⌊n/2⌋ > B`) and all four grandchildren are leaves (`⌈n/4⌉ ≤ B`),
+    /// with `B` = [`PAIRWISE_BASE`](sdc_parallel::PAIRWISE_BASE).
+    pub(super) const SUBTREE4: std::ops::RangeInclusive<usize> =
+        2 * sdc_parallel::PAIRWISE_BASE + 2..=4 * sdc_parallel::PAIRWISE_BASE;
+
+    /// A 16-leaf node: all four grandchildren are [`SUBTREE4`] nodes.
+    pub(super) const SUBTREE16: std::ops::RangeInclusive<usize> =
+        8 * sdc_parallel::PAIRWISE_BASE + 8..=16 * sdc_parallel::PAIRWISE_BASE;
+
+    /// `(start, len)` of one leaf.
+    pub(super) type Leaf = (usize, usize);
+
+    /// The four grandchildren of the tree node `start..start + len`, split
+    /// at `len / 2` twice, exactly as the scalar tree splits.
+    pub(super) fn quarters(start: usize, len: usize) -> [Leaf; 4] {
+        let (a, b) = (len / 2, len - len / 2);
+        [
+            (start, a / 2),
+            (start + a / 2, a - a / 2),
+            (start + a, b / 2),
+            (start + a + b / 2, b - b / 2),
+        ]
+    }
+
+    /// The tree's combine of four sibling sums.
+    pub(super) fn tree4(s: [f64; 4]) -> f64 {
+        (s[0] + s[1]) + (s[2] + s[3])
+    }
 
     /// # Safety
     /// Requires AVX2.
@@ -279,25 +333,56 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Four base-64 chains in four lanes; combine `(s0+s1)+(s2+s3)`.
-    /// Scalar `x[i] *= a` is `x * a`; the vector body above keeps that
-    /// operand order. Here lane `l` accumulates `x[64l + i] * y[64l + i]`
-    /// with separate mul/add — the exact scalar chain of leaf `l`.
+    /// The sums of `G` groups of four leaves: lane `l` of accumulator
+    /// `g` runs leaf `leaves[g][l]`'s chain `acc += x[i] * y[i]` (separate
+    /// multiply and add, from `0.0`) in element order. Every leaf's first
+    /// `m` elements — the shortest leaf's length, rounded down to a
+    /// multiple of 4 — run in lockstep; each leaf then finishes with a
+    /// scalar tail.
     ///
     /// # Safety
-    /// Requires AVX2; `x.len() == y.len() == 256`.
+    /// Requires AVX2; every leaf `(start, len)` has `start + len <=
+    /// x.len()` and `x.len() == y.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot256(x: &[f64], y: &[f64]) -> f64 {
-        const B: usize = 64;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..B {
-            let xv = _mm256_set_pd(x[3 * B + i], x[2 * B + i], x[B + i], x[i]);
-            let yv = _mm256_set_pd(y[3 * B + i], y[2 * B + i], y[B + i], y[i]);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(xv, yv));
+    pub unsafe fn leaf_sums<const G: usize>(
+        x: &[f64],
+        y: &[f64],
+        leaves: [[Leaf; 4]; G],
+    ) -> [[f64; 4]; G] {
+        let m = leaves.iter().flatten().map(|&(_, len)| len).min().unwrap_or(0) & !3;
+        let (xp, yp) = (x.as_ptr(), y.as_ptr());
+        let mut acc = [_mm256_setzero_pd(); G];
+        let mut i = 0;
+        while i < m {
+            for (a, group) in acc.iter_mut().zip(&leaves) {
+                // Row l holds leaf l's products i..i+4; i + 4 <= m <= len.
+                let prod = |l: usize| {
+                    let at = group[l].0 + i;
+                    _mm256_mul_pd(_mm256_loadu_pd(xp.add(at)), _mm256_loadu_pd(yp.add(at)))
+                };
+                let (p0, p1, p2, p3) = (prod(0), prod(1), prod(2), prod(3));
+                // 4×4 transpose: column k = element i+k of leaves 0..4.
+                let lo01 = _mm256_unpacklo_pd(p0, p1);
+                let hi01 = _mm256_unpackhi_pd(p0, p1);
+                let lo23 = _mm256_unpacklo_pd(p2, p3);
+                let hi23 = _mm256_unpackhi_pd(p2, p3);
+                *a = _mm256_add_pd(*a, _mm256_permute2f128_pd(lo01, lo23, 0x20));
+                *a = _mm256_add_pd(*a, _mm256_permute2f128_pd(hi01, hi23, 0x20));
+                *a = _mm256_add_pd(*a, _mm256_permute2f128_pd(lo01, lo23, 0x31));
+                *a = _mm256_add_pd(*a, _mm256_permute2f128_pd(hi01, hi23, 0x31));
+            }
+            i += 4;
         }
-        let lanes: [f64; 4] = std::mem::transmute(acc);
-        // The pairwise tree over 256 elements is ((c0+c1)+(c2+c3)).
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        let mut out = [[0.0; 4]; G];
+        for ((sums, a), group) in out.iter_mut().zip(acc).zip(&leaves) {
+            _mm256_storeu_pd(sums.as_mut_ptr(), a);
+            for (s, &(start, len)) in sums.iter_mut().zip(group) {
+                for j in start + m..start + len {
+                    *s += x[j] * y[j];
+                }
+            }
+        }
+        out
     }
 }
 
@@ -332,6 +417,62 @@ mod tests {
         match detected() {
             Isa::Avx2 => assert_eq!(set_mode(SimdMode::Avx2).unwrap(), Isa::Avx2),
             Isa::Scalar => assert!(set_mode(SimdMode::Avx2).is_err()),
+        }
+    }
+
+    /// The canonical dot written out in scalar code: 8192-element
+    /// blocks, each a pairwise tree split at `len / 2` down to leaves of
+    /// at most 64 elements summed in order from `0.0`, and the block
+    /// partials combined by the same tree.
+    fn reference_dot(x: &[f64], y: &[f64]) -> f64 {
+        fn tree(v: &[f64]) -> f64 {
+            if v.len() <= 64 {
+                let mut acc = 0.0;
+                for &e in v {
+                    acc += e;
+                }
+                acc
+            } else {
+                let mid = v.len() / 2;
+                tree(&v[..mid]) + tree(&v[mid..])
+            }
+        }
+        fn leaf_tree(x: &[f64], y: &[f64]) -> f64 {
+            if x.len() <= 64 {
+                let mut acc = 0.0;
+                for (a, b) in x.iter().zip(y) {
+                    acc += a * b;
+                }
+                acc
+            } else {
+                let mid = x.len() / 2;
+                leaf_tree(&x[..mid], &y[..mid]) + leaf_tree(&x[mid..], &y[mid..])
+            }
+        }
+        if x.len() <= 8192 {
+            return leaf_tree(x, y);
+        }
+        let partials: Vec<f64> =
+            x.chunks(8192).zip(y.chunks(8192)).map(|(a, b)| leaf_tree(a, b)).collect();
+        tree(&partials)
+    }
+
+    #[test]
+    fn avx2_dot_bitwise_matches_scalar_pairwise_reference() {
+        let _guard = test_mode_guard();
+        if set_mode(SimdMode::Avx2).is_err() {
+            return; // no AVX2 on this host; nothing to compare.
+        }
+        // Magnitudes spread over 24 binades, so any change to the order
+        // of the additions changes the rounded sum.
+        let data = |n: usize, seed: f64| -> Vec<f64> {
+            (0..n).map(|i| (i as f64 * seed).sin() * f64::powi(2.0, (i % 25) as i32 - 12)).collect()
+        };
+        let lens = (0..=2048).chain([7824, 8192, 10_000, 32_400, 32_768]);
+        for n in lens {
+            let (x, y) = (data(n, 0.731), data(n, 0.377));
+            let (got, want) = (crate::vector::dot(&x, &y), reference_dot(&x, &y));
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}: {got:e} != {want:e}");
         }
     }
 

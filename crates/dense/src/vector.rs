@@ -50,14 +50,11 @@ fn dot_rec(x: &[f64], y: &[f64]) -> f64 {
         }
         acc
     } else {
-        // Lane-parallel body for one 4-leaf subtree: four base-64 chains
-        // run in four AVX2 lanes with the identical per-leaf op sequence
-        // and the identical `(s0+s1)+(s2+s3)` combine, so the reduction
-        // stays bitwise-pinned to the scalar tree (see `crate::simd`).
-        if x.len() == 4 * PAIRWISE_BASE {
-            if let Some(v) = crate::simd::dot256(x, y) {
-                return v;
-            }
+        // Nodes whose leaves all sit at one depth run lane-parallel with
+        // the identical per-leaf op sequence and combine shape, so the
+        // reduction stays bitwise-pinned to this tree (see `crate::simd`).
+        if let Some(v) = crate::simd::dot_subtree(x, y) {
+            return v;
         }
         let mid = x.len() / 2;
         dot_rec(&x[..mid], &y[..mid]) + dot_rec(&x[mid..], &y[mid..])

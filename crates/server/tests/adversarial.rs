@@ -280,6 +280,51 @@ fn set_rst_on_close(s: &TcpStream) {
     assert_eq!(rc, 0, "setsockopt(SO_LINGER)");
 }
 
+/// The trace id that [`SolveGate`] holds back.
+const GATED_TRACE: &str = "gated-solve";
+
+/// A global subscriber that parks the solve running under trace id
+/// [`GATED_TRACE`] at its first event until [`SolveGate::open`], so the
+/// test, not the host's speed, decides when that solve may finish.
+/// Every other event passes straight through.
+#[derive(Default)]
+struct SolveGate {
+    /// `(entered, open)`.
+    state: std::sync::Mutex<(bool, bool)>,
+    changed: std::sync::Condvar,
+}
+
+impl SolveGate {
+    const LIMIT: Duration = Duration::from_secs(60);
+
+    /// Blocks until the gated solve has reached the gate.
+    fn wait_entered(&self) {
+        let state = self.state.lock().unwrap();
+        let (state, timeout) =
+            self.changed.wait_timeout_while(state, Self::LIMIT, |s| !s.0).unwrap();
+        assert!(state.0 && !timeout.timed_out(), "the gated solve never started");
+    }
+
+    /// Lets the gated solve run on.
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl sdc_obs::Subscriber for SolveGate {
+    fn event(&self, _event: &sdc_obs::Event) {
+        if sdc_obs::current_trace().as_deref() != Some(GATED_TRACE) {
+            return;
+        }
+        let mut state = self.state.lock().unwrap();
+        state.0 = true;
+        self.changed.notify_all();
+        // Bounded, so a failing test cannot wedge the worker for good.
+        let _ = self.changed.wait_timeout_while(state, Self::LIMIT, |s| !s.1).unwrap();
+    }
+}
+
 #[test]
 fn mid_solve_disconnect_writes_a_suffix_consistent_post_mortem() {
     let dir = flight_dir("disconnect");
@@ -293,8 +338,6 @@ fn mid_solve_disconnect_writes_a_suffix_consistent_post_mortem() {
     let handle = serve(engine, "127.0.0.1:0").expect("bind");
     let addr = handle.addr();
 
-    // A solve slow enough (in a debug build) that the RST below always
-    // lands while it is still in flight.
     const SOLVE: &str = "{\"cmd\":\"solve\",\"matrix\":\"p\",\"solver\":\"ftgmres\",\
                          \"tol\":1e-10,\"maxit\":60,\"inner_iters\":10";
 
@@ -324,21 +367,39 @@ fn mid_solve_disconnect_writes_a_suffix_consistent_post_mortem() {
     // The clean delivered solve must NOT have dumped.
     assert!(!dir.exists(), "clean solve left a post-mortem");
 
-    // Fire the same solve and slam the door: linger(0) turns the close
-    // into an RST, so the loop sees a hard read error — a dead write
-    // side — while the solve is still running.
+    // Fire the same solve under the gate's trace id (a trace id never
+    // reaches det bytes) and wait until it is parked mid-solve.
+    let gate = Arc::new(SolveGate::default());
+    sdc_obs::install_global(gate.clone());
     let mut ghost = TcpStream::connect(addr).expect("connect ghost");
-    ghost.write_all(format!("{SOLVE}}}\n").as_bytes()).expect("send solve");
+    let gated = format!("{SOLVE},\"trace\":{{\"id\":\"{GATED_TRACE}\"}}}}\n");
+    ghost.write_all(gated.as_bytes()).expect("send solve");
+    gate.wait_entered();
+
+    // Slam the door: linger(0) turns the close into an RST, so the loop
+    // sees a hard read error — a dead write side — while the solve is
+    // parked. On loopback the RST has reached the server socket when
+    // `drop` returns, and the poller is level-triggered, so the loop
+    // reads it no later than the wake that reads the first `stats`
+    // below; the second round trip starts after that wake's sweep has
+    // flagged the connection dead.
     set_rst_on_close(&ghost);
     drop(ghost);
+    for _ in 0..2 {
+        let r = call(&mut c, "{\"cmd\":\"stats\"}");
+        assert!(r.field("ok").unwrap().as_bool().unwrap(), "{}", r.to_line());
+    }
+    gate.open();
 
     let dumps = wait_for_dumps(&dir, "disconnect", 1);
+    sdc_obs::clear_global();
     let content = std::fs::read_to_string(&dumps[0]).expect("dump");
     let mut lines = content.lines().map(str::to_string);
     let header = Json::parse(&lines.next().expect("header line")).expect("json");
     assert_eq!(header.field("ev").unwrap().as_str().unwrap(), "flight.header");
     assert_eq!(header.field("reason").unwrap().as_str().unwrap(), "disconnect");
     assert_eq!(header.field("solver").unwrap().as_str().unwrap(), "ftgmres");
+    assert_eq!(header.field("trace").unwrap().as_str().unwrap(), GATED_TRACE);
 
     // The dump's det lines are byte-for-byte the tail of the reference
     // trace: same events, same fields, ending where the solve ended —
