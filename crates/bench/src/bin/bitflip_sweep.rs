@@ -65,8 +65,9 @@ fn main() {
     let ft = FtGmresConfig {
         outer: sdc_gmres::fgmres::FgmresConfig { tol: 1e-7, max_outer: 150, ..Default::default() },
         inner_iters: inner,
-        inner_detector: Some(SdcDetector::with_frobenius_bound(
+        inner_detector: Some(SdcDetector::for_precond(
             &problem.a,
+            &BuiltPrecond::None,
             DetectorResponse::RestartInner,
         )),
         ..Default::default()

@@ -59,7 +59,7 @@ fn main() {
     let cfg = GmresConfig {
         tol: 0.0,
         max_iters: 25,
-        detector: Some(SdcDetector::with_frobenius_bound(a, DetectorResponse::Record)),
+        detector: Some(SdcDetector::for_precond(a, &BuiltPrecond::None, DetectorResponse::Record)),
         ..Default::default()
     };
     // Fault-free reference. The --format choice picks the SpMV engine

@@ -76,7 +76,8 @@ fn main() {
             };
             let inj = SingleFaultInjector::new(FaultModel::CLASS1_HUGE, trigger);
             let mut cfg = base;
-            cfg.inner_detector = detector.map(|resp| SdcDetector::with_frobenius_bound(&a, resp));
+            cfg.inner_detector =
+                detector.map(|resp| SdcDetector::for_precond(&a, &BuiltPrecond::None, resp));
             let (x, rep) =
                 sdc_gmres::ftgmres::ftgmres_solve_instrumented(&op, &b, None, &cfg, &inj);
             let mut r = vec![0.0; b.len()];

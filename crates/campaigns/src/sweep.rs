@@ -75,8 +75,7 @@ impl CampaignConfig {
 
     /// The FT-GMRES configuration realizing this campaign on matrix `a`,
     /// preconditioned by `precond`. The detector bound follows the
-    /// iteration it guards: the Frobenius bound for plain Arnoldi, the
-    /// `‖A‖_F·‖M⁻¹‖`-scaled bound when the inner operator is `A·M⁻¹`.
+    /// iteration it guards (see [`SdcDetector::for_precond`]).
     pub fn ft_config_with(
         &self,
         a: &sdc_sparse::CsrMatrix,
@@ -90,13 +89,9 @@ impl CampaignConfig {
             },
             inner_iters: self.inner_iters,
             inner_lsq_policy: self.inner_lsq,
-            inner_detector: self.detector_response.map(|resp| {
-                if precond.is_none() {
-                    SdcDetector::with_frobenius_bound(a, resp)
-                } else {
-                    SdcDetector::with_preconditioned_bound(a, precond, resp)
-                }
-            }),
+            inner_detector: self
+                .detector_response
+                .map(|resp| SdcDetector::for_precond(a, precond, resp)),
             ..Default::default()
         }
     }

@@ -71,8 +71,8 @@ impl SdcDetector {
     /// estimate of `‖M⁻¹‖₂` times a safety factor of 2 (the estimate
     /// converges from below; the `‖A‖_F ≥ ‖A‖₂` slack absorbs the rest).
     /// For the `none` kind this is `2·‖A‖_F` — still exact, just looser
-    /// than [`SdcDetector::with_frobenius_bound`]; callers keep the
-    /// legacy constructor on unpreconditioned solves.
+    /// than [`SdcDetector::with_frobenius_bound`]; solvers pick between
+    /// the two through [`SdcDetector::for_precond`].
     pub fn with_preconditioned_bound(
         a: &sdc_sparse::CsrMatrix,
         precond: &crate::precond::BuiltPrecond,
@@ -81,6 +81,23 @@ impl SdcDetector {
         const SAFETY: f64 = 2.0;
         let minv = precond.inv_norm_est(a.nrows(), 8).max(1.0);
         Self { bound: a.norm_fro() * minv * SAFETY, response }
+    }
+
+    /// The detector for an iteration preconditioned by `precond`: the
+    /// bound follows the operator the Arnoldi process projects — the
+    /// Frobenius bound for plain `A` (the `none` kind), the
+    /// `‖M⁻¹‖`-scaled bound for `A·M⁻¹`. Every solver front end (server
+    /// engine, campaign sweeps, figure binaries) builds its detector here.
+    pub fn for_precond(
+        a: &sdc_sparse::CsrMatrix,
+        precond: &crate::precond::BuiltPrecond,
+        response: DetectorResponse,
+    ) -> Self {
+        if precond.is_none() {
+            Self::with_frobenius_bound(a, response)
+        } else {
+            Self::with_preconditioned_bound(a, precond, response)
+        }
     }
 
     /// Checks a Hessenberg value; `Some(violation)` if it is impossible
@@ -166,6 +183,17 @@ mod tests {
             assert!(d.bound >= 2.0 * fro, "{kind}: bound {} < 2*fro {fro}", d.bound);
             assert!(d.bound.is_finite(), "{kind}");
         }
+        // The `none` kind keeps the paper's tighter Frobenius bound.
+        let d = SdcDetector::for_precond(
+            &a,
+            &PrecondKind::None.build(&a).unwrap(),
+            DetectorResponse::Halt,
+        );
+        assert_eq!(d.bound.to_bits(), fro.to_bits());
+        let p = PrecondKind::Ilu0.build(&a).unwrap();
+        let d = SdcDetector::for_precond(&a, &p, DetectorResponse::Halt);
+        let widened = SdcDetector::with_preconditioned_bound(&a, &p, DetectorResponse::Halt);
+        assert_eq!(d.bound.to_bits(), widened.bound.to_bits());
         // Jacobi on Poisson: diag = 4, so ‖M⁻¹‖₂ = 1/4 < 1 — clamped.
         let jac = PrecondKind::Jacobi.build(&a).unwrap();
         let d = SdcDetector::with_preconditioned_bound(&a, &jac, DetectorResponse::Record);

@@ -8,14 +8,21 @@
 //! iteration treats whatever the inner solve returns as just another
 //! preconditioner.
 //!
-//! The sandbox promises the inner solve returns *something* in *finite
-//! time*. Concretely:
+//! There is one inner solve, [`InnerGmresPrecond`]: a fixed-iteration
+//! GMRES ([`FtGmresConfig`] builds its config) on `A` itself, or — with a
+//! preconditioner armed for the sequel paper's opaque-preconditioner
+//! faults — on `A·M⁻¹`. [`SandboxedInnerGmres`] runs the same guest on
+//! its own thread under a wall-clock budget. Either way the reliable host
+//! applies one fallback rule to whatever comes back:
 //!
-//! * the inner solve runs under `catch_unwind`, so a panic (hard fault)
-//!   becomes a reportable event, and
-//! * its result is validated by the reliable outer layer (finite entries);
-//!   rejected results are replaced by the unpreconditioned direction
-//!   `z = q` — the cheapest correct preconditioner.
+//! * a guest that panicked (or overran its budget) is **rejected** and
+//!   reports no injections;
+//! * a guest halted by its detector hands back `z = q` and the halt
+//!   propagates loudly;
+//! * otherwise the direction (`z = u`, or `z = M⁻¹u` through the clean
+//!   application) is validated — under
+//!   [`InnerValidation::RejectNonFinite`] a non-finite entry rejects it
+//!   and `z = q`, the cheapest correct preconditioner, is used instead.
 
 use crate::detector::SdcDetector;
 use crate::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
@@ -68,28 +75,103 @@ impl Default for FtGmresConfig {
     }
 }
 
+impl FtGmresConfig {
+    /// The inner solve's GMRES config: fixed-iteration mode (`tol = 0`
+    /// runs all `inner_iters` iterations, unrestarted).
+    fn inner_config(&self) -> GmresConfig {
+        GmresConfig {
+            tol: 0.0,
+            max_iters: self.inner_iters,
+            restart: None,
+            ortho: self.inner_ortho,
+            lsq_policy: self.inner_lsq_policy,
+            detector: self.inner_detector,
+            breakdown_rel: 1e-13,
+            max_detector_restarts: 4,
+        }
+    }
+}
+
+/// The reliable host's verdict on one guest run — the module's fallback
+/// rule, in one place. `guest` is the inner solve's `(u, report)` or its
+/// panic/timeout; `precond` (when armed) maps `u` back as `z = M⁻¹u`;
+/// `injections_before` marks where this guest's injection records start.
+fn host_verdict<E>(
+    guest: Result<(Vec<f64>, SolveReport), E>,
+    precond: Option<&FaultedPrecond>,
+    injector: &dyn FaultInjector,
+    injections_before: usize,
+    validation: InnerValidation,
+    q: &[f64],
+    z: &mut [f64],
+) -> PrecondReport {
+    let mut preport = PrecondReport::default();
+    let Ok((u, inner_rep)) = guest else {
+        // Crashed or hung guest: the host regains control and converts
+        // the hard fault into a rejection; the solve continues with z = q.
+        preport.rejected = true;
+        z.copy_from_slice(q);
+        return preport;
+    };
+    preport.inner_iterations = inner_rep.iterations;
+    preport.detector_events = inner_rep.detector_events;
+    preport.detector_restarts = inner_rep.detector_restarts;
+    preport.injections = injector.records().into_iter().skip(injections_before).collect();
+    if let SolveOutcome::Halted(v) = inner_rep.outcome {
+        preport.halted = Some(v);
+        // Hand back the (loud) fallback anyway so the caller has
+        // defined data if it chooses to continue.
+        z.copy_from_slice(q);
+        return preport;
+    }
+    match precond {
+        Some(p) => p.solve_clean(&u, z),
+        None => z.copy_from_slice(&u),
+    }
+    // Reliable host phase: validate before use.
+    if validation == InnerValidation::RejectNonFinite && !sdc_dense::all_finite(z) {
+        preport.rejected = true;
+        z.copy_from_slice(q);
+    }
+    preport
+}
+
 /// The unreliable inner solve, packaged as a flexible preconditioner.
+///
+/// Without a preconditioner the guest runs on `A` itself. With one it
+/// runs on `B = A·M⁻¹` (both the operator applies and the
+/// orthogonalization passing through the fault injector — `M` is the
+/// sequel paper's opaque preconditioner, corruptible via
+/// [`FaultedPrecond`]), and the returned direction is `z = M⁻¹u`, mapped
+/// through the *clean* application (stored-factor corruption, being
+/// persistent, still applies). The outer FGMRES remains reliable and
+/// unpreconditioned — the residual identity `b − A x = b − B u` keeps
+/// its convergence checks and detector bounds valid; see
+/// [`crate::precond`].
 pub struct InnerGmresPrecond<'a, A: LinearOperator + ?Sized> {
     a: &'a A,
     cfg: GmresConfig,
+    precond: Option<FaultedPrecond<'a>>,
     injector: &'a dyn FaultInjector,
     validation: InnerValidation,
 }
 
 impl<'a, A: LinearOperator + ?Sized> InnerGmresPrecond<'a, A> {
-    /// Builds the inner-solve preconditioner from an FT-GMRES config.
-    pub fn new(a: &'a A, ft: &FtGmresConfig, injector: &'a dyn FaultInjector) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0, // fixed-iteration mode: run all inner iterations
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
-        };
-        Self { a, cfg, injector, validation: ft.validation }
+    /// Builds the inner-solve preconditioner from an FT-GMRES config;
+    /// `precond` is armed with `injector` unless it is the `none` kind.
+    pub fn new(
+        a: &'a A,
+        ft: &FtGmresConfig,
+        precond: &'a BuiltPrecond,
+        injector: &'a dyn FaultInjector,
+    ) -> Self {
+        Self {
+            a,
+            cfg: ft.inner_config(),
+            precond: (!precond.is_none()).then(|| FaultedPrecond::new(precond, injector)),
+            injector,
+            validation: ft.validation,
+        }
     }
 }
 
@@ -100,50 +182,43 @@ impl<'a, A: LinearOperator + ?Sized> FlexiblePreconditioner for InnerGmresPrecon
         q: &[f64],
         z: &mut [f64],
     ) -> PrecondReport {
-        let mut preport = PrecondReport::default();
         // ---- Unreliable guest phase: solve A z = q approximately.
         // catch_unwind converts a guest panic into a reportable event
         // (the sandbox's "returns something" promise).
         let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
         let injections_before = self.injector.records().len();
-        let guest = catch_unwind(AssertUnwindSafe(|| {
-            gmres_solve_instrumented(self.a, q, None, &self.cfg, self.injector, ctx)
-        }));
-
-        match guest {
-            Ok((zg, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    // Hand back the (loud) fallback anyway so the caller
-                    // has defined data if it chooses to continue.
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                // ---- Reliable host phase: validate before use.
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(&zg),
-                };
-                if ok {
-                    z.copy_from_slice(&zg);
-                } else {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
+        let guest = match &self.precond {
+            None => catch_unwind(AssertUnwindSafe(|| {
+                gmres_solve_instrumented(self.a, q, None, &self.cfg, self.injector, ctx)
+            })),
+            Some(precond) => {
+                // Apply-ordinal counter for transient preconditioner
+                // faults. Atomic only because `FnOperator` requires
+                // `Fn + Sync`; the inner GMRES applies the operator
+                // strictly sequentially, so the ordinal sequence is
+                // deterministic.
+                let applies = std::sync::atomic::AtomicUsize::new(0);
+                let (a, n) = (self.a, self.a.nrows());
+                let op = crate::operator::FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
+                    let ordinal = applies.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                    let mut m_u = vec![0.0; n];
+                    precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
+                    a.apply(&m_u, y);
+                });
+                catch_unwind(AssertUnwindSafe(|| {
+                    gmres_solve_instrumented(&op, q, None, &self.cfg, self.injector, ctx)
+                }))
             }
-            Err(_) => {
-                // Guest crashed: sandbox converts the hard fault into a
-                // rejection; the solve continues with z = q.
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
-        }
-        preport
+        };
+        host_verdict(
+            guest,
+            self.precond.as_ref(),
+            self.injector,
+            injections_before,
+            self.validation,
+            q,
+            z,
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -170,121 +245,7 @@ pub fn ftgmres_solve_instrumented<A: LinearOperator + ?Sized>(
     cfg: &FtGmresConfig,
     injector: &dyn FaultInjector,
 ) -> (Vec<f64>, SolveReport) {
-    let mut precond = InnerGmresPrecond::new(a, cfg, injector);
-    fgmres_solve(a, b, x0, &cfg.outer, &mut precond)
-}
-
-/// The unreliable inner solve with a *right-preconditioned* operator:
-/// the inner GMRES runs on `B = A·M⁻¹` (both the operator applies and
-/// the orthogonalization passing through the fault injector — `M` is the
-/// sequel paper's opaque preconditioner, corruptible via
-/// [`FaultedPrecond`]), and the returned direction is `z = M⁻¹u`, mapped
-/// through the *clean* application (stored-factor corruption, being
-/// persistent, still applies). The outer FGMRES remains reliable and
-/// unpreconditioned — the residual identity `b − A x = b − B u` keeps
-/// its convergence checks and detector bounds valid; see
-/// [`crate::precond`].
-pub struct PrecondInnerGmres<'a, A: LinearOperator + ?Sized> {
-    a: &'a A,
-    cfg: GmresConfig,
-    precond: FaultedPrecond<'a>,
-    injector: &'a dyn FaultInjector,
-    validation: InnerValidation,
-}
-
-impl<'a, A: LinearOperator + ?Sized> PrecondInnerGmres<'a, A> {
-    /// Builds the preconditioned inner solve from an FT-GMRES config.
-    pub fn new(
-        a: &'a A,
-        ft: &FtGmresConfig,
-        precond: &'a BuiltPrecond,
-        injector: &'a dyn FaultInjector,
-    ) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0,
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
-        };
-        Self {
-            a,
-            cfg,
-            precond: FaultedPrecond::new(precond, injector),
-            injector,
-            validation: ft.validation,
-        }
-    }
-}
-
-impl<'a, A: LinearOperator + ?Sized> FlexiblePreconditioner for PrecondInnerGmres<'a, A> {
-    fn apply_flexible(
-        &mut self,
-        outer_iteration: usize,
-        q: &[f64],
-        z: &mut [f64],
-    ) -> PrecondReport {
-        let mut preport = PrecondReport::default();
-        let n = self.a.nrows();
-        let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
-        let injections_before = self.injector.records().len();
-
-        // Apply-ordinal counter for transient preconditioner faults.
-        // Atomic only because `FnOperator` requires `Fn + Sync`; the
-        // inner GMRES applies the operator strictly sequentially, so the
-        // ordinal sequence is deterministic.
-        let applies = std::sync::atomic::AtomicUsize::new(0);
-        let a = self.a;
-        let precond = &self.precond;
-        let op = crate::operator::FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
-            let ordinal = applies.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let mut m_u = vec![0.0; n];
-            precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
-            a.apply(&m_u, y);
-        });
-
-        let guest = catch_unwind(AssertUnwindSafe(|| {
-            gmres_solve_instrumented(&op, q, None, &self.cfg, self.injector, ctx)
-        }));
-
-        match guest {
-            Ok((u, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                // Reliable host phase: map u back through the clean
-                // application, then validate the direction before use.
-                self.precond.solve_clean(&u, z);
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(z),
-                };
-                if !ok {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
-            }
-            Err(_) => {
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
-        }
-        preport
-    }
-
-    fn name(&self) -> &'static str {
-        "inner-gmres (unreliable, right-preconditioned)"
-    }
+    ftgmres_solve_precond(a, b, x0, cfg, &BuiltPrecond::None, injector)
 }
 
 /// FT-GMRES with a right-preconditioned inner solve and the
@@ -299,11 +260,8 @@ pub fn ftgmres_solve_precond<A: LinearOperator + ?Sized>(
     precond: &BuiltPrecond,
     injector: &dyn FaultInjector,
 ) -> (Vec<f64>, SolveReport) {
-    if precond.is_none() {
-        return ftgmres_solve_instrumented(a, b, x0, cfg, injector);
-    }
-    let mut p = PrecondInnerGmres::new(a, cfg, precond, injector);
-    fgmres_solve(a, b, x0, &cfg.outer, &mut p)
+    let mut inner = InnerGmresPrecond::new(a, cfg, precond, injector);
+    fgmres_solve(a, b, x0, &cfg.outer, &mut inner)
 }
 
 /// The fully sandboxed inner solve: each guest runs on its own thread
@@ -330,19 +288,9 @@ impl<A: LinearOperator + Send + Sync + 'static> SandboxedInnerGmres<A> {
         injector: std::sync::Arc<dyn FaultInjector + 'static>,
         budget: std::time::Duration,
     ) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0,
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
-        };
         Self {
             a,
-            cfg,
+            cfg: ft.inner_config(),
             injector,
             sandbox: sdc_faults::SandboxConfig { time_budget: Some(budget) },
             validation: ft.validation,
@@ -357,49 +305,16 @@ impl<A: LinearOperator + Send + Sync + 'static> FlexiblePreconditioner for Sandb
         q: &[f64],
         z: &mut [f64],
     ) -> PrecondReport {
-        let mut preport = PrecondReport::default();
         let a = std::sync::Arc::clone(&self.a);
         let injector = std::sync::Arc::clone(&self.injector);
         let cfg = self.cfg;
         let rhs = q.to_vec();
         let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
         let injections_before = self.injector.records().len();
-
         let guest = sdc_faults::run_sandboxed(self.sandbox, move || {
             gmres_solve_instrumented(a.as_ref(), &rhs, None, &cfg, injector.as_ref(), ctx)
         });
-
-        match guest {
-            Ok((zg, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(&zg),
-                };
-                if ok {
-                    z.copy_from_slice(&zg);
-                } else {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
-            }
-            Err(_timeout_or_panic) => {
-                // Hung or crashed guest: the host regains control within
-                // its budget and substitutes the identity application.
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
-        }
-        preport
+        host_verdict(guest, None, self.injector.as_ref(), injections_before, self.validation, q, z)
     }
 
     fn name(&self) -> &'static str {
@@ -586,6 +501,13 @@ mod tests {
         }
     }
 
+    /// The inner-solve shapes every fallback test covers: plain, and
+    /// right-preconditioned on `A·M⁻¹`.
+    fn inner_preconds(a: &sdc_sparse::CsrMatrix) -> [BuiltPrecond; 2] {
+        use crate::precond::PrecondKind;
+        [BuiltPrecond::None, PrecondKind::Jacobi.build(a).unwrap()]
+    }
+
     #[test]
     fn nan_inner_result_is_rejected_by_reliable_validation() {
         let a = gallery::poisson2d(8);
@@ -594,14 +516,29 @@ mod tests {
         // Inject NaN into an orthogonalization coefficient: without a
         // detector the inner solve returns a NaN-tainted iterate, which
         // the outer validation must reject.
-        let inj = SingleFaultInjector::new(
-            FaultModel::SetNan,
-            Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
-        );
-        let (x, rep) = ftgmres_solve_instrumented(&a, &b, None, &cfg, &inj);
-        assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-        assert!(rep.inner_rejections >= 1, "NaN result must be rejected");
-        check_solution(&a, &b, &x, 1e-7);
+        let nan_injector = || {
+            SingleFaultInjector::new(
+                FaultModel::SetNan,
+                Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
+            )
+        };
+        for p in inner_preconds(&a) {
+            let kind = p.kind();
+            // The host's own verdict on that one inner solve: rejected,
+            // with z = q exactly (FGMRES's breakdown retry would also
+            // mask a NaN direction, so check before it can).
+            let inj = nan_injector();
+            let q: Vec<f64> = b.iter().map(|v| v / vector::nrm2(&b)).collect();
+            let mut z = vec![0.0; q.len()];
+            let preport = InnerGmresPrecond::new(&a, &cfg, &p, &inj).apply_flexible(1, &q, &mut z);
+            assert!(preport.rejected, "{kind}: NaN result must be rejected");
+            assert_eq!(z, q, "{kind}: rejected direction falls back to z = q");
+
+            let (x, rep) = ftgmres_solve_precond(&a, &b, None, &cfg, &p, &nan_injector());
+            assert!(rep.outcome.is_converged(), "{kind}: {:?}", rep.outcome);
+            assert!(rep.inner_rejections >= 1, "{kind}: NaN result must be rejected");
+            check_solution(&a, &b, &x, 1e-7);
+        }
     }
 
     #[test]
@@ -627,13 +564,16 @@ mod tests {
             inner_iters: 8,
             ..Default::default()
         };
-        let (x, rep) = ftgmres_solve_instrumented(&a, &b, None, &cfg, &CrashingInjector);
-        // The guest's hard fault was converted into a rejection; the outer
-        // solve proceeded and converged.
-        assert!(rep.inner_rejections >= 1, "crash must be converted to a rejection");
-        assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-        assert!(x.iter().all(|v| v.is_finite()));
-        check_solution(&a, &b, &x, 1e-7);
+        for p in inner_preconds(&a) {
+            let (x, rep) = ftgmres_solve_precond(&a, &b, None, &cfg, &p, &CrashingInjector);
+            // The guest's hard fault was converted into a rejection; the
+            // outer solve proceeded and converged.
+            let kind = p.kind();
+            assert!(rep.inner_rejections >= 1, "{kind}: crash must be converted to a rejection");
+            assert!(rep.outcome.is_converged(), "{kind}: {:?}", rep.outcome);
+            assert!(x.iter().all(|v| v.is_finite()), "{kind}");
+            check_solution(&a, &b, &x, 1e-7);
+        }
     }
 
     #[test]
@@ -701,17 +641,20 @@ mod tests {
     fn detector_halt_propagates_loudly() {
         let a = gallery::poisson2d(8);
         let b = b_for(&a);
-        let mut cfg = poisson_cfg();
-        cfg.inner_detector = Some(SdcDetector::with_frobenius_bound(&a, DetectorResponse::Halt));
-        let point = CampaignPoint {
-            aggregate_iteration: 5,
-            inner_per_outer: cfg.inner_iters,
-            class: FaultClass::Huge,
-            position: MgsPosition::First,
-        };
-        let inj = point.injector();
-        let (_, rep) = ftgmres_solve_instrumented(&a, &b, None, &cfg, &inj);
-        assert!(matches!(rep.outcome, SolveOutcome::Halted(_)), "{:?}", rep.outcome);
+        for p in inner_preconds(&a) {
+            let mut cfg = poisson_cfg();
+            cfg.inner_detector = Some(SdcDetector::for_precond(&a, &p, DetectorResponse::Halt));
+            let point = CampaignPoint {
+                aggregate_iteration: 5,
+                inner_per_outer: cfg.inner_iters,
+                class: FaultClass::Huge,
+                position: MgsPosition::First,
+            };
+            let inj = point.injector();
+            let (_, rep) = ftgmres_solve_precond(&a, &b, None, &cfg, &p, &inj);
+            let kind = p.kind();
+            assert!(matches!(rep.outcome, SolveOutcome::Halted(_)), "{kind}: {:?}", rep.outcome);
+        }
     }
 
     #[test]

@@ -172,35 +172,12 @@ impl Engine {
     /// Handles one raw frame. Event frames stream through `sink`; the
     /// returned frame is final. Never panics on client input.
     pub fn handle_line(&self, line: &str, sink: &mut dyn FnMut(&Json)) -> Json {
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return error_response(
-                    None,
-                    ErrorCode::BadRequest,
-                    format!("malformed frame: {e}"),
-                );
-            }
+        let (req, id) = match self.admit(line) {
+            Ok(admitted) => admitted,
+            Err(refusal) => return refusal,
         };
-        let id = v.get("id").cloned();
-        let req = match Request::from_json(&v) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return error_response(id.as_ref(), ErrorCode::BadRequest, e.msg);
-            }
-        };
-        self.handle(&req, id.as_ref(), sink)
-    }
-
-    /// Handles one parsed request.
-    pub fn handle(&self, req: &Request, id: Option<&Json>, sink: &mut dyn FnMut(&Json)) -> Json {
-        self.metrics.count_request(req.cmd());
-        if let Some(refusal) = self.drain_gate(req, id) {
-            return refusal;
-        }
-        match req {
+        let id = id.as_ref();
+        match &req {
             Request::Solve(r) => self.handle_solve(r, id),
             Request::Campaign(r) => self.handle_campaign(r, id, sink),
             Request::Replicate(r) => self.handle_replicate(r, id),
@@ -208,22 +185,36 @@ impl Engine {
         }
     }
 
+    /// The admission step both entry points share: parse the frame,
+    /// count the request, apply the drain gate. `Err` carries the final
+    /// frame of a request that goes no further.
+    ///
     /// The drain policy: once draining, only observation and
     /// (idempotent) shutdown are served; new work of any kind — not
     /// just solves — is refused, so a drain cannot be delayed
     /// indefinitely.
-    fn drain_gate(&self, req: &Request, id: Option<&Json>) -> Option<Json> {
+    fn admit(&self, line: &str) -> Result<(Request, Option<Json>), Json> {
+        let v = Json::parse(line).map_err(|e| {
+            self.metrics.protocol_errors.inc();
+            error_response(None, ErrorCode::BadRequest, format!("malformed frame: {e}"))
+        })?;
+        let id = v.get("id").cloned();
+        let req = Request::from_json(&v).map_err(|e| {
+            self.metrics.protocol_errors.inc();
+            error_response(id.as_ref(), ErrorCode::BadRequest, e.msg)
+        })?;
+        self.metrics.count_request(req.cmd());
         if self.shutdown_requested()
             && !matches!(req, Request::Stats | Request::Metrics | Request::List | Request::Shutdown)
         {
-            return Some(error_response(id, ErrorCode::ShuttingDown, "server is draining"));
+            return Err(error_response(id.as_ref(), ErrorCode::ShuttingDown, "server is draining"));
         }
-        None
+        Ok((req, id))
     }
 
     /// The commands that complete without blocking on solvers, peers or
-    /// worker threads. Callers must have already counted the request
-    /// and applied [`Engine::drain_gate`].
+    /// worker threads. Callers must have already admitted the request
+    /// ([`Engine::admit`]).
     fn handle_quick(&self, req: &Request, id: Option<&Json>) -> Json {
         match req {
             Request::LoadMatrix(r) => self.handle_load(r, id),
@@ -247,36 +238,14 @@ impl Engine {
     /// possibly from another thread after this call returned. The
     /// frames (and their order) are byte-identical to what
     /// [`Engine::handle_line`] produces for the same input; only the
-    /// delivery is asynchronous.
-    pub fn handle_line_async(self: &Arc<Self>, line: &str, emit: Emit) {
-        self.handle_line_async_with(line, emit, SolveHooks::default());
-    }
-
-    /// [`Engine::handle_line_async`] with per-request [`SolveHooks`]
-    /// attached (the event loop passes a delivery-death probe so a
-    /// mid-solve disconnect can trigger a flight-recorder post-mortem).
+    /// delivery is asynchronous. `hooks` steer side-band observability
+    /// (the event loop passes a delivery-death probe so a mid-solve
+    /// disconnect can trigger a flight-recorder post-mortem).
     pub fn handle_line_async_with(self: &Arc<Self>, line: &str, emit: Emit, hooks: SolveHooks) {
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                let resp =
-                    error_response(None, ErrorCode::BadRequest, format!("malformed frame: {e}"));
-                return emit(resp, true);
-            }
+        let (req, id) = match self.admit(line) {
+            Ok(admitted) => admitted,
+            Err(refusal) => return emit(refusal, true),
         };
-        let id = v.get("id").cloned();
-        let req = match Request::from_json(&v) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return emit(error_response(id.as_ref(), ErrorCode::BadRequest, e.msg), true);
-            }
-        };
-        self.metrics.count_request(req.cmd());
-        if let Some(refusal) = self.drain_gate(&req, id.as_ref()) {
-            return emit(refusal, true);
-        }
         match req {
             Request::Solve(r) => {
                 let done = {
@@ -552,7 +521,7 @@ impl Engine {
         }
     }
 
-    /// The blocking solve path (offline mode and [`Engine::handle`]):
+    /// The blocking solve path (offline mode and [`Engine::handle_line`]):
     /// submit, then wait for the worker's response.
     fn handle_solve(&self, r: &SolveRequest, id: Option<&Json>) -> Json {
         let (tx, rx) = mpsc::channel::<Json>();
@@ -840,19 +809,11 @@ fn execute_solve(
     // Built once per (matrix, kind) and cached on the registered
     // problem; an unfactorable matrix surfaces as a structured error.
     let precond = problem.precond(req.precond)?;
-    // The Frobenius bound is an O(nnz) scan; build it only for the
-    // solvers that wire a detector in (validate() rejects detector +
-    // fgmres, which has no hook). A preconditioned iteration projects
-    // `A·M⁻¹`, so its bound carries the `‖M⁻¹‖₂` estimate.
-    let detector = || {
-        req.detector.response().map(|resp| {
-            if precond.is_none() {
-                SdcDetector::with_frobenius_bound(&problem.a, resp)
-            } else {
-                SdcDetector::with_preconditioned_bound(&problem.a, precond, resp)
-            }
-        })
-    };
+    // The bound is an O(nnz) scan; build it only for the solvers that
+    // wire a detector in (validate() rejects detector + fgmres, which
+    // has no hook).
+    let detector =
+        || req.detector.response().map(|resp| SdcDetector::for_precond(&problem.a, precond, resp));
 
     let (x, rep) = match req.solver {
         SolverKind::Gmres => {
@@ -873,13 +834,9 @@ fn execute_solve(
                 lsq_policy: req.lsq.policy(),
                 ..Default::default()
             };
-            if precond.is_none() {
-                let mut pm = sdc_gmres::fgmres::FixedPrecond(IdentityPrecond);
-                sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
-            } else {
-                let mut pm = sdc_gmres::fgmres::FixedPrecond(precond);
-                sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
-            }
+            // `none` applies `z = q`, exactly as the identity would.
+            let mut pm = sdc_gmres::fgmres::FixedPrecond(precond);
+            sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
         }
         SolverKind::FtGmres => {
             let cfg = FtGmresConfig {
@@ -1389,6 +1346,13 @@ mod tests {
             "not json at all",
             "{\"cmd\":\"replicate\",\"id\":4,\"matrix\":\"p\"}",
             "{\"cmd\":\"list\",\"id\":5}",
+            // Every early exit of the shared admission step: an unknown
+            // command, an ill-typed field, and the drain gate refusing
+            // a solve that follows a shutdown.
+            "{\"cmd\":\"frobnicate\",\"id\":6}",
+            "{\"cmd\":\"solve\",\"id\":7,\"matrix\":\"p\",\"maxit\":\"x\"}",
+            "{\"cmd\":\"shutdown\",\"id\":8}",
+            "{\"cmd\":\"solve\",\"id\":9,\"matrix\":\"p\"}",
         ];
         let blocking: Vec<String> = {
             let e = engine();
@@ -1414,7 +1378,7 @@ mod tests {
             let emit: Emit = Arc::new(move |frame, last| {
                 drop(tx.lock().unwrap().send((frame, last)));
             });
-            e.handle_line_async(line, emit);
+            e.handle_line_async_with(line, emit, SolveHooks::default());
             let mut frames = Vec::new();
             loop {
                 let (frame, last) = rx.recv().expect("final frame");
@@ -1427,6 +1391,15 @@ mod tests {
         }
         e.drain();
         assert_eq!(blocking, asynced);
+        // The admission-step exits answer with the expected codes.
+        let code = |frame: &str| {
+            let v = Json::parse(frame).unwrap();
+            v.get("error").map(|e| e.field("code").unwrap().as_str().unwrap().to_string())
+        };
+        assert_eq!(code(&blocking[6]).as_deref(), Some("bad_request"), "{}", blocking[6]);
+        assert_eq!(code(&blocking[7]).as_deref(), Some("bad_request"), "{}", blocking[7]);
+        assert_eq!(code(&blocking[8]), None, "{}", blocking[8]);
+        assert_eq!(code(&blocking[9]).as_deref(), Some("shutting_down"), "{}", blocking[9]);
     }
 
     #[test]

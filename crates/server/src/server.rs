@@ -348,6 +348,8 @@ impl EventLoop {
             .collect();
         let moved = !ready.is_empty();
         for (token, line) in ready {
+            // A slot just freed: refill it from bytes already buffered.
+            self.carve(token);
             let shared = Arc::clone(&self.shared);
             let emit: Emit = Arc::new(move |frame: Json, last: bool| {
                 shared.outbox.lock().unwrap_or_else(|e| e.into_inner()).push(OutMsg {
@@ -411,40 +413,47 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&ev.token.0) else { return };
         if ev.readable || ev.closed {
             read_available(conn);
-            let oversized = extract_frames(conn, self.opts.max_frame, self.opts.max_pipelined);
-            if oversized {
-                self.engine.metrics.frames_oversized.inc();
-                // Transport-level poisoning is a dump condition too: the
-                // loop's own recorder holds the recent wake/connection
-                // history leading up to the bad frame.
-                if let (Some(dir), Some(rec)) = (self.engine.flight_dir(), &self.flight) {
-                    let mut header = sdc_obs::Event::new(&sdc_obs::flight::HEADER)
-                        .str("reason", "oversized_frame")
-                        .u64("token", ev.token.0 as u64);
-                    if let Some(t) = &conn.current_trace {
-                        header = header.str("trace", t.clone());
-                    }
-                    if write_flight_dump(&dir, "oversized_frame", &rec.dump(header)).is_ok() {
-                        self.engine.metrics.flight_dumps.inc();
-                    }
-                }
-                let err = error_response(
-                    None,
-                    ErrorCode::BadRequest,
-                    format!(
-                        "frame exceeds max_frame ({} bytes) without a newline",
-                        self.opts.max_frame
-                    ),
-                );
-                conn.write_buf.extend_from_slice(err.to_line().as_bytes());
-                conn.write_buf.push(b'\n');
-                conn.closing = true;
-                conn.read_buf.clear();
-                conn.scanned = 0;
-            }
+            self.carve(ev.token.0);
         }
         // `ev.writable` needs no special handling: `flush_and_close`
         // runs every iteration and drains what the kernel will take.
+    }
+
+    /// Carves `token`'s buffered frames into `pending`, poisoning the
+    /// connection when its unterminated tail outgrows `max_frame`. Runs
+    /// after every read and whenever a `pending` slot frees up: frames
+    /// left buffered at the pipelining cap must not wait for a readable
+    /// event that a client awaiting its replies will never cause.
+    fn carve(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        if !extract_frames(conn, self.opts.max_frame, self.opts.max_pipelined) {
+            return;
+        }
+        self.engine.metrics.frames_oversized.inc();
+        // Transport-level poisoning is a dump condition too: the loop's
+        // own recorder holds the recent wake/connection history leading
+        // up to the bad frame.
+        if let (Some(dir), Some(rec)) = (self.engine.flight_dir(), &self.flight) {
+            let mut header = sdc_obs::Event::new(&sdc_obs::flight::HEADER)
+                .str("reason", "oversized_frame")
+                .u64("token", token as u64);
+            if let Some(t) = &conn.current_trace {
+                header = header.str("trace", t.clone());
+            }
+            if write_flight_dump(&dir, "oversized_frame", &rec.dump(header)).is_ok() {
+                self.engine.metrics.flight_dumps.inc();
+            }
+        }
+        let err = error_response(
+            None,
+            ErrorCode::BadRequest,
+            format!("frame exceeds max_frame ({} bytes) without a newline", self.opts.max_frame),
+        );
+        conn.write_buf.extend_from_slice(err.to_line().as_bytes());
+        conn.write_buf.push(b'\n');
+        conn.closing = true;
+        conn.read_buf.clear();
+        conn.scanned = 0;
     }
 
     /// Flushes write buffers and closes every connection that is done:
@@ -584,7 +593,8 @@ fn extract_frames(conn: &mut Conn, max_frame: usize, max_pipelined: usize) -> bo
         }
     }
     // Stopped at the pipelining cap with bytes (possibly whole frames)
-    // still buffered; `scanned` stays put so they are found later.
+    // still buffered; `scanned` stays put so they are found once a
+    // dispatch frees a slot.
     false
 }
 

@@ -455,3 +455,33 @@ fn pipelined_requests_answer_in_order() {
 
     shutdown(handle);
 }
+
+#[test]
+fn frames_pipelined_past_the_cap_are_all_answered() {
+    let handle = start();
+
+    // 100 frames in one write, past the default 64-frame pipelining
+    // cap. The write half stays open: the client now only waits, so
+    // frames left buffered at the cap get no further readable event.
+    let s = TcpStream::connect(handle.addr()).expect("connect");
+    let burst: String = (0..100).map(|id| format!("{{\"cmd\":\"stats\",\"id\":{id}}}\n")).collect();
+    (&s).write_all(burst.as_bytes()).expect("pipeline");
+
+    s.set_read_timeout(Some(Duration::from_secs(10))).ok();
+    let mut reader = std::io::BufReader::new(&s);
+    let mut ids = Vec::new();
+    for _ in 0..100 {
+        let mut line = String::new();
+        match std::io::BufRead::read_line(&mut reader, &mut line) {
+            Ok(n) if n > 0 => {
+                ids.push(Json::parse(&line).expect("json").field("id").unwrap().as_usize().unwrap())
+            }
+            _ => panic!("only {} of 100 pipelined frames answered", ids.len()),
+        }
+    }
+    assert_eq!(ids, (0..100).collect::<Vec<_>>(), "in-order pipelined responses");
+
+    drop(reader);
+    drop(s);
+    shutdown(handle);
+}
